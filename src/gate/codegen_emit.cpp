@@ -1,18 +1,20 @@
 // codegen_emit.cpp — lower a levelized gate Netlist into specialized C++.
 //
 // The generated translation unit reuses the shared jit preludes: the
-// store-only lane_ops_prelude chunk layer (vw = one AVX-512/AVX2/scalar
-// chunk of lane words) for combinational logic and step_prelude for the
+// store-only lane_ops_prelude chunk layer (vw = one vector-type chunk of
+// VW lane words, at most one register) for combinational logic,
+// flat_ops_prelude for memory row sweeps and step_prelude for the
 // sequential commit.  Unlike the interpreter, the generated eval keeps no
-// per-cell change tracking.  Levels form a topological schedule, so
-// `osss_gate_eval` scans the per-level dirty flags once and then runs one
-// straight-line sweep from the first dirty level to the end — every
-// downstream value is recomputed exactly (change propagation is implicit
-// in program order), and a quiescent settle still costs only the flag
-// scan.  Cells within one level are topologically independent, so each
-// level's logic cells fuse into a single `for (w += VW)` loop nest: one
-// loop bound check per VW lane words serves the whole level instead of
-// one word loop per cell, and every store is an explicit SIMD chunk.
+// per-cell change tracking.
+// Levels form a topological schedule, so `osss_gate_eval` scans the
+// per-level dirty flags once and then runs one straight-line sweep from
+// the first dirty level to the end — every downstream value is recomputed
+// exactly (change propagation is implicit in program order), and a
+// quiescent settle still costs only the flag scan.  Cells within one
+// level are topologically independent, so each level's logic cells fuse
+// into a single `for (w += VW)` loop nest: one loop bound check per VW
+// lane words serves the whole level instead of one word loop per cell,
+// and every store is an explicit SIMD chunk.
 //
 // Memory read ports are grouped — one block per distinct (mem, address
 // nets) tuple instead of one per read-data bit — and lowered to one-hot
@@ -24,14 +26,14 @@
 // the same choice; step ends with an inline settle call so a clock cycle
 // is one native call.
 //
-// When a row span (width * LW words) tiles into the flat `fv` tier
-// (flat_ops_prelude: always the widest ISA the target enables, FW words
-// per chunk regardless of LW), row-mask gathers and write commits sweep
-// whole rows in explicit fv chunks against a cyclically replicated row
-// mask — one chunk covers several data bits across lane words.  This
-// pins vectorization the auto-vectorizer finds only erratically (GCC's
-// SLP pass is context-sensitive enough to drop it under benign
-// reorderings) and widens it past the per-tap word.
+// When a row span (width * LW words) tiles into the flat `fv` layer
+// (flat_ops_prelude: FW = one register of words regardless of LW),
+// row-mask gathers and write commits sweep whole rows in explicit fv
+// chunks against a cyclically replicated row mask — one chunk covers
+// several data bits across lane words.  This pins vectorization the
+// auto-vectorizer finds only erratically (GCC's SLP pass is
+// context-sensitive enough to drop it under benign reorderings) and
+// widens it past the per-tap word.
 //
 // Layout contract (must match gate::NativeEngine exactly): lane word w of
 // net n lives at V[n*LW + w]; lane word w of data bit b of memory entry a
@@ -128,10 +130,10 @@ struct Emitter {
     return lanes > 1 && bound <= std::uint64_t{4} * lanes;
   }
   /// The flat `fv` sweep walks whole memory rows (width * LW contiguous
-  /// words) in widest-ISA chunks against a cyclically replicated row
-  /// mask, so the span must tile: lane words a power of two and the row
-  /// span divisible by 8 (the widest FW any target tier picks), capped
-  /// so the gather's stack accumulator stays small.
+  /// words) in FW-word chunks against a cyclically replicated row mask,
+  /// so the span must tile: lane words a power of two and the row span
+  /// divisible by 8 (the largest FW), capped so the gather's stack
+  /// accumulator stays small.
   bool flat_rows_ok(std::uint32_t width) const {
     const std::uint64_t span = std::uint64_t{width} * lw;
     return (lw & (lw - 1)) == 0 && span % 8 == 0 && span <= 2048;
@@ -581,9 +583,9 @@ struct Emitter {
     // Store-only chunk drivers: the suffix sweep recomputes every
     // downstream cell anyway, so the change-accumulating v_* drivers
     // would pay an xor/or reduction per word for nothing.
-    os << jit::lane_ops_prelude(lw);
-    // Flat widest-ISA drivers for whole-row memory sweeps (gather and
-    // write commit) — independent of the vw lane-chunk tier.
+    os << jit::lane_ops_prelude();
+    // Flat register-wide drivers for whole-row memory sweeps (gather and
+    // write commit) — independent of the vw lane-chunk width.
     os << jit::flat_ops_prelude();
     os << jit::step_prelude();
     os << "}  // namespace\n\n";

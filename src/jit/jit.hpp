@@ -141,30 +141,37 @@ bool jit_disabled_by_env() noexcept;
 // Fragments of generated source shared by the backends' emitters.  The
 // emitters write prelude_header(), then `constexpr int L = <lanes>;`, then
 // vector_prelude() (the lane-vector helper library: P/K/Ps operands, the
-// v_*/n_* drivers with AVX-512/AVX2/scalar bodies) and step_prelude() (the
-// sequential-commit helpers used by the generated step() entry points).
+// v_*/n_* drivers) and step_prelude() (the sequential-commit helpers used
+// by the generated step() entry points).
+//
+// Every vector in the generated source is a GCC/Clang `vector_size` type
+// used through plain operators, loaded and stored with memcpy (the arena
+// is only 8-byte aligned).  The source includes no intrinsic header and
+// tests no ISA macro, so one text serves every host.  No vector is wider
+// than NW lane words, the widest register the compile flags enable
+// (default_flags() probes -mavx2 / -mavx512f, plus extra_flags), which
+// the source reads from __BIGGEST_ALIGNMENT__: 8 words with AVX-512, 4
+// with AVX2, 2 on baseline x86-64.  GCC keeps a vector wider than every
+// register on the stack.
 
 const char* prelude_header();
 const char* vector_prelude();
 const char* step_prelude();
 
-/// Width-selected *store-only* lane-word vector layer for the gate
-/// emitter's fused level loops: defines `vw` (one SIMD-or-scalar chunk of
-/// lane words), `VW` (lane words per chunk), vld/vst and the
-/// v_and/v_or/v_xor/v_inv/v_nand/v_nor/v_xnor/v_mux/vbc drivers, with an
-/// AVX-512 body when lane_words % 8 == 0, AVX2 when % 4 == 0, and scalar
-/// otherwise (ISA selected by the generated code's preprocessor).  Unlike
-/// vector_prelude()'s v_* templates these accumulate no change masks — the
-/// gate suffix sweep recomputes every downstream cell anyway.  The emitter
-/// must have written `constexpr int L` and `constexpr u64 TM` (the
-/// tail-lane mask) before this fragment.
-std::string lane_ops_prelude(unsigned lane_words);
+/// Store-only lane-word vector layer for the gate emitter's fused level
+/// loops: defines `vw` (one chunk of lane words), `VW` (lane words per
+/// chunk: the widest power of two up to NW that divides L), vld/vst and
+/// the v_and/v_or/v_xor/v_inv/v_nand/v_nor/v_xnor/v_mux/vbc drivers.
+/// Unlike vector_prelude()'s v_* templates these accumulate no change
+/// masks — the gate suffix sweep recomputes every downstream cell anyway.
+/// The emitter must have written `constexpr int L` and `constexpr u64 TM`
+/// (the tail-lane mask) before this fragment.
+const char* lane_ops_prelude();
 
-/// Flat vector layer `fv`/`FW` for contiguous memory-row sweeps: always
-/// the widest ISA the target compiler enables (FW = 8 / 4 / 1), so one
-/// chunk may span several data bits of a row at once.  Users must keep
-/// swept spans divisible by 8 words and replicate per-lane-word masks
-/// out to max(FW, L) words.  Independent of lane_ops_prelude()'s tier.
+/// Flat vector layer `fv`/`FW` for contiguous memory-row sweeps: FW = NW
+/// words whatever the lane count, so one chunk may span several data bits
+/// of a row at once.  Users must keep swept spans divisible by 8 (the
+/// largest FW) and replicate per-lane-word masks out to max(FW, L) words.
 const char* flat_ops_prelude();
 
 }  // namespace osss::jit

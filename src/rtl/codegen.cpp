@@ -579,6 +579,8 @@ void NativeEngine::write_lane_bits(std::uint32_t off, std::uint16_t words,
 
 Bits NativeEngine::read_lane_bits(std::uint32_t off, std::uint16_t words,
                                   unsigned width, unsigned lane) const {
+  if (lane >= prog_.lanes)
+    throw std::logic_error("tape codegen: lane out of range");
   return bits_from_words(arena_.data() + off + std::size_t{lane} * words,
                          width);
 }
@@ -882,6 +884,8 @@ void NativeEngine::restore_poweron() {
 }
 
 Bits NativeEngine::mem_word(unsigned mem_index, unsigned word, unsigned lane) {
+  if (lane >= prog_.lanes)
+    throw std::logic_error("tape codegen: lane out of range");
   const Program::Mem& pm = prog_.mems.at(mem_index);
   if (word >= pm.depth)
     throw std::out_of_range("tape codegen: mem word out of range");

@@ -190,6 +190,7 @@ void Simulator::eval() {
 }
 
 Bits Simulator::get(NodeId id, unsigned lane) {
+  if (lane >= lanes_) throw std::logic_error("Simulator: lane out of range");
   if (mode_ != SimMode::kInterp)
     return with_engine([&](auto& e) { return e.node_value(id, lane); });
   eval();
@@ -205,6 +206,7 @@ Bits Simulator::output(OutputHandle h) { return output_lane(h, 0); }
 Bits Simulator::output_lane(OutputHandle h, unsigned lane) {
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
+  if (lane >= lanes_) throw std::logic_error("Simulator: lane out of range");
   if (mode_ != SimMode::kInterp)
     return with_engine([&](auto& e) { return e.output(h.index, lane); });
   eval();

@@ -104,7 +104,7 @@ public:
 
   /// Current value of any node (evaluates combinational logic on demand).
   /// In tape mode, throws std::logic_error for nodes the compiler pruned or
-  /// folded away.
+  /// folded away.  A lane at or past lanes() throws std::logic_error.
   Bits get(NodeId id, unsigned lane = 0);
   /// Current value of an output port (lane 0).
   Bits output(const std::string& name);

@@ -668,6 +668,7 @@ void Engine::write_lane_bits(std::uint32_t off, std::uint16_t words,
 
 Bits Engine::read_lane_bits(std::uint32_t off, std::uint16_t words,
                             unsigned width, unsigned lane) const {
+  if (lane >= prog_.lanes) throw std::logic_error("tape: lane out of range");
   return bits_from_words(arena_.data() + off + std::size_t{lane} * words,
                          width);
 }
@@ -1253,6 +1254,7 @@ void Engine::restore_poweron() {
 }
 
 Bits Engine::mem_word(unsigned mem_index, unsigned word, unsigned lane) {
+  if (lane >= prog_.lanes) throw std::logic_error("tape: lane out of range");
   const Program::Mem& pm = prog_.mems.at(mem_index);
   if (word >= pm.depth) throw std::out_of_range("tape: mem word out of range");
   const std::uint64_t* s =

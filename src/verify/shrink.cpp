@@ -4,6 +4,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "par/env.hpp"
 
 namespace osss::verify {
 
@@ -17,6 +20,26 @@ bool adopt_if_fails(CoSim& cs, const Trace& cand, Trace& cur,
   if (r.ok) return false;
   cur = r.failing_trace;
   return true;
+}
+
+/// The whitespace-separated fields after a replay line's key.
+std::vector<std::string> fields(std::istringstream& ls) {
+  std::vector<std::string> out;
+  std::string tok;
+  while (ls >> tok) out.push_back(tok);
+  return out;
+}
+
+/// One numeric replay field, parsed strictly into [lo, hi]: malformed,
+/// negative, overflowing and out-of-range text is rejected, never
+/// truncated or clamped.
+std::uint64_t replay_number(const std::string& tok, std::uint64_t lo,
+                            std::uint64_t hi, const std::string& line) {
+  const par::EnvValue v = par::parse_u64(tok, lo, hi);
+  if (v.status != par::EnvParseStatus::kOk || v.clamped)
+    throw std::invalid_argument("ReplayRecord: bad number '" + tok +
+                                "': " + line);
+  return v.value;
 }
 
 }  // namespace
@@ -123,17 +146,21 @@ ReplayRecord ReplayRecord::from_text(const std::string& text) {
       if (!rec.design.empty() && rec.design.front() == ' ')
         rec.design.erase(rec.design.begin());
     } else if (key == "seed") {
-      ls >> rec.seed;
+      const std::vector<std::string> f = fields(ls);
+      if (f.size() != 1)
+        throw std::invalid_argument("ReplayRecord: bad seed: " + line);
+      rec.seed = replay_number(f[0], 0, ~std::uint64_t{0}, line);
     } else if (key == "note") {
       std::getline(ls, rec.note);
       if (!rec.note.empty() && rec.note.front() == ' ')
         rec.note.erase(rec.note.begin());
     } else if (key == "input") {
-      IoDecl d;
-      ls >> d.name >> d.width;
-      if (d.name.empty() || d.width == 0)
+      // Widths match the tape's 16-bit width fields.
+      const std::vector<std::string> f = fields(ls);
+      if (f.size() != 2)
         throw std::invalid_argument("ReplayRecord: bad input decl: " + line);
-      rec.trace.inputs.push_back(d);
+      rec.trace.inputs.push_back(
+          {f[0], static_cast<unsigned>(replay_number(f[1], 1, 65535, line))});
     } else if (key == "cycle") {
       std::vector<Bits> values;
       std::string tok;

@@ -17,8 +17,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "expocu/flows.hpp"
 #include "gate/equiv.hpp"
 #include "gate/lower.hpp"
 #include "gate/sim.hpp"
@@ -81,7 +87,7 @@ void expect_lane_match(const Netlist& nl, std::uint64_t seed,
                     << seed;
 }
 
-Netlist random_netlist(const char* variant,
+Netlist random_netlist(const char* /*variant*/,
                        const verify::RandomModuleOptions& opt,
                        std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -254,6 +260,68 @@ TEST(GateNativeJit, DeepMemoryMatchesEventEngine) {
   }
 }
 
+#if defined(__x86_64__)
+/// The JIT's default flags enable every vector extension the host has, so
+/// an AVX-512 host always compiles the generated vw/fv chunks as zmm code.
+/// These flags, appended after the defaults, compile the same source as a
+/// host with AVX2 but no AVX-512 (ymm) and one with neither (baseline
+/// SSE2).
+struct NarrowIsa {
+  const char* name;
+  const char* flags;
+};
+constexpr NarrowIsa kNarrowIsas[] = {
+    {"avx2", "-mno-avx512f"},
+    {"sse2", "-mno-avx2 -mno-avx512f"}};
+void PrintTo(const NarrowIsa& isa, std::ostream* os) { *os << isa.name; }
+
+/// (target, lanes)
+class GateNativeIsa
+    : public ::testing::TestWithParam<std::tuple<NarrowIsa, unsigned>> {};
+
+/// Every random_module shape plus two ExpoCU components, param_calc (wide
+/// arithmetic) and histogram (memories, the row sweeps), lowered and
+/// compiled for the narrower target; 64 lanes are also lane-scored.
+TEST_P(GateNativeIsa, CorpusMatchesEventEngine) {
+  const auto [isa, lanes] = GetParam();
+  std::vector<std::pair<std::string, Netlist>> corpus;
+  const verify::RandomModuleOptions shapes[] = {{40, false, false, false},
+                                                {32, true, false, false},
+                                                {32, false, true, false},
+                                                {32, false, false, true},
+                                                {48, true, true, true}};
+  for (unsigned i = 0; i < std::size(shapes); ++i)
+    corpus.emplace_back("random " + std::to_string(i),
+                        random_netlist("isa", shapes[i], case_seed("isa", i)));
+  for (const expocu::FlowComponent& c : expocu::build_osss_flow())
+    if (c.name == "param_calc" || c.name == "histogram")
+      corpus.emplace_back(c.name, lower_to_gates(c.module));
+
+  CodegenOptions opt;
+  opt.extra_flags = isa.flags;
+  for (const auto& [name, nl] : corpus) {
+    SCOPED_TRACE(name);
+    const std::uint64_t seed = verify::StimGen::derive(
+        verify::env_seed(7411), "gate-native/isa/" + name);
+    Simulator probe(nl, SimMode::kNative, lanes, opt);
+    if (!jit_disabled()) {
+      ASSERT_TRUE(probe.native().native()) << probe.native().compile_log();
+    }
+    expect_three_way_match(nl, seed, 100, lanes, opt);
+    if (lanes == Simulator::kLanes) expect_lane_match(nl, seed, 100, opt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, GateNativeIsa,
+    ::testing::Combine(::testing::ValuesIn(kNarrowIsas),
+                       ::testing::Values(64u, 256u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_x" +
+             std::to_string(std::get<1>(info.param));
+    });
+#endif  // __x86_64__
+
 // --- optimizer integration -------------------------------------------------
 
 /// The optimization pipeline's differential self-check runs on the native
@@ -408,13 +476,20 @@ TEST(GateNativeEmit, GeneratedSourceExportsTheGateAbi) {
   Builder b("emit");
   b.output("o", b.xor_(b.input("a", 8), b.input("b", 8)));
   const Netlist nl = lower_to_gates(b.take());
-  const std::string src = emit_netlist_cpp(nl, 256);
-  EXPECT_NE(src.find("osss_gate_eval"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_step"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_abi"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_lanes"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_nets"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_scratch"), std::string::npos);
+  for (const unsigned lanes : {1u, 64u, 256u}) {
+    SCOPED_TRACE(lanes);
+    const std::string src = emit_netlist_cpp(nl, lanes);
+    EXPECT_NE(src.find("osss_gate_eval"), std::string::npos);
+    EXPECT_NE(src.find("osss_gate_step"), std::string::npos);
+    EXPECT_NE(src.find("osss_gate_abi"), std::string::npos);
+    EXPECT_NE(src.find("osss_gate_lanes"), std::string::npos);
+    EXPECT_NE(src.find("osss_gate_nets"), std::string::npos);
+    EXPECT_NE(src.find("osss_gate_scratch"), std::string::npos);
+    // One vector-type prelude: no intrinsics and no ISA tests, the
+    // compile flags alone pick the instructions.
+    for (const char* isa : {"immintrin", "_mm", "__m256i", "__m512i", "__AVX"})
+      EXPECT_EQ(src.find(isa), std::string::npos) << isa;
+  }
 }
 
 TEST(GateNativeEmit, LaneValidation) {

@@ -17,7 +17,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "expocu/flows.hpp"
 #include "rtl/builder.hpp"
@@ -127,8 +132,7 @@ TEST(NativeJit, CompilesAndMatchesInterpreter) {
   expect_three_way_match(m, seed, 120, 8, {});
 }
 
-/// Wide SIMD lanes through the real JIT (AVX2/AVX-512 vector drivers when
-/// the CPU has them; the scalar tail otherwise).
+/// Wide SIMD lanes through the real JIT (the 8-lane vector drivers).
 TEST(NativeJit, WideLanesCompileAndMatch) {
   const std::uint64_t seed =
       verify::StimGen::derive(verify::env_seed(7301), "native/jit-wide");
@@ -154,6 +158,69 @@ TEST(NativeJit, ExpoCuComponentsBothFlows) {
     }
   }
 }
+
+#if defined(__x86_64__)
+/// The JIT's default flags enable every vector extension the host has, so
+/// an AVX-512 host always compiles the generated vectors as zmm code.
+/// These flags, appended after the defaults, compile the same source as a
+/// host with AVX2 but no AVX-512 (ymm) and one with neither (-mno-avx2
+/// also drops the AVX the probed -mavx2 implied, leaving baseline SSE2).
+struct NarrowIsa {
+  const char* name;
+  const char* flags;
+};
+constexpr NarrowIsa kNarrowIsas[] = {
+    {"avx2", "-mno-avx512f"},
+    {"sse2", "-mno-avx2 -mno-avx512f"}};
+void PrintTo(const NarrowIsa& isa, std::ostream* os) { *os << isa.name; }
+
+/// (target, lanes)
+class NativeIsa
+    : public ::testing::TestWithParam<std::tuple<NarrowIsa, unsigned>> {};
+
+/// Every random_module shape plus two ExpoCU components, param_calc (wide
+/// arithmetic) and histogram (memories), compiled for the narrower target.
+TEST_P(NativeIsa, CorpusMatchesInterpreter) {
+  const auto [isa, lanes] = GetParam();
+  std::vector<std::pair<std::string, Module>> corpus;
+  const verify::RandomModuleOptions shapes[] = {{40, false, false, false},
+                                                {32, true, false, false},
+                                                {32, false, true, false},
+                                                {32, false, false, true},
+                                                {48, true, true, true}};
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    std::mt19937_64 rng(verify::StimGen::derive(
+        verify::env_seed(7301), "native/isa/" + std::to_string(i)));
+    corpus.emplace_back("random " + std::to_string(i),
+                        verify::random_module(rng, shapes[i]));
+  }
+  for (expocu::FlowComponent& c : expocu::build_osss_flow())
+    if (c.name == "param_calc" || c.name == "histogram")
+      corpus.emplace_back(c.name, std::move(c.module));
+
+  tp::CodegenOptions opt;
+  opt.extra_flags = isa.flags;
+  for (const auto& [name, m] : corpus) {
+    SCOPED_TRACE(name);
+    Simulator probe(m, SimMode::kNative, lanes, opt);
+    if (!jit_disabled()) {
+      ASSERT_TRUE(probe.native().native()) << probe.native().compile_log();
+    }
+    expect_three_way_match(
+        m, verify::StimGen::derive(verify::env_seed(7301), "native/isa/" + name),
+        100, lanes, opt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, NativeIsa,
+    ::testing::Combine(::testing::ValuesIn(kNarrowIsas),
+                       ::testing::Values(64u, 256u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_x" +
+             std::to_string(std::get<1>(info.param));
+    });
+#endif  // __x86_64__
 
 // --- fallback robustness ---------------------------------------------------
 
@@ -237,12 +304,19 @@ TEST(NativeEmit, GeneratedSourceExportsTheTapeAbi) {
   Wire a = b.input("a", 8);
   Wire c = b.input("b", 8);
   b.output("o", b.xor_(a, c));
-  const tp::Program p = tp::Program::compile(b.take(), 4);
-  const std::string src = tp::emit_cpp(p);
-  EXPECT_NE(src.find("osss_tape_eval"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_abi"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_lanes"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_arena"), std::string::npos);
+  const Module m = b.take();
+  for (const unsigned lanes : {1u, 4u, 64u, 256u}) {
+    SCOPED_TRACE(lanes);
+    const std::string src = tp::emit_cpp(tp::Program::compile(m, lanes));
+    EXPECT_NE(src.find("osss_tape_eval"), std::string::npos);
+    EXPECT_NE(src.find("osss_tape_abi"), std::string::npos);
+    EXPECT_NE(src.find("osss_tape_lanes"), std::string::npos);
+    EXPECT_NE(src.find("osss_tape_arena"), std::string::npos);
+    // One vector-type prelude: no intrinsics and no ISA tests, the
+    // compile flags alone pick the instructions.
+    for (const char* isa : {"immintrin", "_mm", "__m256i", "__m512i", "__AVX"})
+      EXPECT_EQ(src.find(isa), std::string::npos) << isa;
+  }
 }
 
 // --- run_batch over wide native lanes --------------------------------------
@@ -409,6 +483,87 @@ TEST(NativeBatch, LaneValidation) {
   blocks.front().lanes = 65;
   EXPECT_THROW(run_batch(m, SimMode::kNative, blocks),
                std::invalid_argument);
+}
+
+// --- lane bounds -----------------------------------------------------------
+// Reads past an engine's lane count must throw, not return a neighbouring
+// arena slot's words.
+
+/// Four lanes of a memory design: input 1 is `data`, memory 0 is `m`.
+Module lane_probe() {
+  Builder b("lanes");
+  Wire addr = b.input("addr", 2);
+  Wire data = b.input("data", 8);
+  Wire we = b.input("we", 1);
+  auto mh = b.memory("m", 4, 8);
+  b.mem_write(mh, addr, data, we);
+  b.output("o", b.xor_(b.mem_read(mh, addr), data));
+  return b.take();
+}
+
+tp::CodegenOptions fallback_only() {
+  tp::CodegenOptions fb;
+  fb.force_fallback = true;
+  return fb;
+}
+
+TEST(TapeLaneBounds, OutputRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::Engine e(m, 4);
+  EXPECT_NO_THROW(e.output(0, 3));
+  EXPECT_THROW(e.output(0, 4), std::logic_error);
+}
+
+TEST(TapeLaneBounds, NodeValueRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::Engine e(m, 4);
+  const NodeId data = m.inputs()[1].node;
+  EXPECT_NO_THROW(e.node_value(data, 3));
+  EXPECT_THROW(e.node_value(data, 4), std::logic_error);
+}
+
+TEST(TapeLaneBounds, MemWordRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::Engine e(m, 4);
+  EXPECT_NO_THROW(e.mem_word(0, 1, 3));
+  EXPECT_THROW(e.mem_word(0, 1, 4), std::logic_error);
+}
+
+TEST(NativeLaneBounds, OutputRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::NativeEngine e(m, 4, fallback_only());
+  EXPECT_NO_THROW(e.output(0, 3));
+  EXPECT_THROW(e.output(0, 4), std::logic_error);
+}
+
+TEST(NativeLaneBounds, NodeValueRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::NativeEngine e(m, 4, fallback_only());
+  const NodeId data = m.inputs()[1].node;
+  EXPECT_NO_THROW(e.node_value(data, 3));
+  EXPECT_THROW(e.node_value(data, 4), std::logic_error);
+}
+
+TEST(NativeLaneBounds, MemWordRejectsOutOfRangeLane) {
+  const Module m = lane_probe();
+  tp::NativeEngine e(m, 4, fallback_only());
+  EXPECT_NO_THROW(e.mem_word(0, 1, 3));
+  EXPECT_THROW(e.mem_word(0, 1, 4), std::logic_error);
+}
+
+/// The simulator facade checks too: a one-lane native simulator used to
+/// answer output_lane(h, 5) from the next arena slot, and the interpreter
+/// answered any lane with lane 0.
+TEST(NativeLaneBounds, SimulatorRejectsOutOfRangeLane) {
+  for (const SimMode mode : {SimMode::kInterp, SimMode::kNative}) {
+    Simulator sim(lane_probe(), mode, 1, fallback_only());
+    const OutputHandle h = sim.output_handle("o");
+    const NodeId data = sim.module().inputs()[1].node;
+    EXPECT_NO_THROW(sim.output_lane(h, 0));
+    EXPECT_THROW(sim.output_lane(h, 5), std::logic_error);
+    EXPECT_NO_THROW(sim.get(data, 0));
+    EXPECT_THROW(sim.get(data, 1), std::logic_error);
+  }
 }
 
 }  // namespace

@@ -171,6 +171,24 @@ TEST(Shrink, FromTextRejectsGarbage) {
   EXPECT_THROW(ReplayRecord::from_text("not a replay"),
                std::invalid_argument);
   EXPECT_THROW(ReplayRecord::from_text(""), std::invalid_argument);
+
+  // One bad line in an otherwise valid record: numbers are parsed
+  // strictly, never truncated, wrapped or clamped.
+  const auto record = [](const std::string& line) {
+    return "osss-replay v1\ndesign d\n" + line + "\nend\n";
+  };
+  EXPECT_EQ(ReplayRecord::from_text(record("seed 0x10")).seed, 16u);
+  EXPECT_EQ(ReplayRecord::from_text(record("input b 65535"))
+                .trace.inputs.at(0)
+                .width,
+            65535u);
+  for (const char* bad :
+       {"seed banana", "seed 12x", "seed -3", "seed 18446744073709551616",
+        "seed", "seed 1 2", "input b -1", "input b 8 junk", "input b 0",
+        "input b 65536", "input b 4294967297", "input b", "input b 0x1g"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(ReplayRecord::from_text(record(bad)), std::invalid_argument);
+  }
 }
 
 }  // namespace
