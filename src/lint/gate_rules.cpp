@@ -75,8 +75,13 @@ class NetlistLinter {
 
   std::string label(NetId id) const {
     const Cell& c = nl_.cells()[id];
-    std::string s = "n" + std::to_string(id);
-    if (!c.name.empty()) s += " '" + c.name + "'";
+    std::string s = "n";
+    s += std::to_string(id);
+    if (!c.name.empty()) {
+      s += " '";
+      s += c.name;
+      s += '\'';
+    }
     return s;
   }
 

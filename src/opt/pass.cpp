@@ -58,8 +58,9 @@ std::string PassStats::format() const {
      << ", area " << static_cast<long>(area_before + 0.5) << "->"
      << static_cast<long>(area_after + 0.5) << " GE, " << changes
      << " change(s)";
-  if (fact_merges != 0 || odc_merges != 0)
-    os << " (" << fact_merges << " fact, " << odc_merges << " odc)";
+  if (fact_merges != 0 || odc_merges != 0 || sampled_merges != 0)
+    os << " (" << fact_merges << " fact, " << odc_merges << " odc, "
+       << sampled_merges << " sampled)";
   os << ", " << wall_ms << " ms" << (verified ? ", verified" : "");
   return os.str();
 }

@@ -52,9 +52,16 @@ struct PassStats {
   /// satsweep only: merges seeded by externally proven register-bit facts
   /// (lint::FactDB::const_reg_bits via SatSweepOptions::facts).
   std::size_t fact_merges = 0;
-  /// satsweep only: observability-don't-care merges (sequential-trajectory
-  /// sampled, verified in-pass).
+  /// satsweep only: sequential merges — register equivalences and
+  /// observability-don't-care replacements.  A sampled trajectory nominates
+  /// them; each is proven exhaustively, and the run is verified in-pass.
   std::size_t odc_merges = 0;
+  /// satsweep only: merges accepted by random resolution alone, with no
+  /// exhaustive proof — pairs whose union support exceeds exhaustive_bits
+  /// and wide fact re-proofs.  Only the self-check (off by default under
+  /// NDEBUG) or satsweep's in-pass check of fact merges would catch a
+  /// wrong one.
+  std::size_t sampled_merges = 0;
   double wall_ms = 0.0;
   bool verified = false;  ///< differential self-check ran and passed
 

@@ -10,9 +10,17 @@
 //     `exhaustive_bits` free variables, all 2^k assignments are enumerated
 //     in 64-lane blocks — the merge is proven, not sampled;
 //   * larger cones get `resolution_rounds` additional independent 64-lane
-//     random rounds; survivors are accepted (random resolution — the
-//     pipeline's differential self-check backstops this, like the
-//     equivalence checker backstops Hardcaml-style rewriting).
+//     random rounds; survivors are accepted on those samples alone
+//     (random resolution) and counted in PassStats::sampled_merges.  Only
+//     the pipeline's differential self-check, off by default under NDEBUG,
+//     would catch a wrong one.
+//
+// Every proof runs on compiled cones: a cone is walked once over the
+// merged view, sorted into (level, id) order and lowered to a flat op list
+// whose operands are already resolved to lane slots.  Callers write the
+// free-leaf lane words into one scratch array the sweeper owns and run
+// the op list over it — no per-evaluation map or allocation.  Walks that
+// feed a bounded proof stop as soon as the cone passes the bound.
 //
 // Registers dedup too: DFFs whose resolved D-nets merge and whose init
 // values agree are unified, and the sweep iterates until no new comb or
@@ -38,11 +46,11 @@
 //     nobody is watching are accepted on an exact exhaustive proof over
 //     every affected observation cone, with and without the replacement.
 //
-// The fact phase is still sampled for wide cones, so any run that applied
-// a fact or sequential merge is differentially verified in-pass
+// The fact phase is still sampled for wide cones and the sequential proofs
+// are the phase's most intricate code, so any run that applied a fact or
+// sequential merge is differentially verified in-pass
 // (gate::check_equivalence against the input) and falls back to the
-// classic-only sweep when the check disagrees — the pass never ships an
-// unverified speculative merge.
+// classic-only sweep when the check disagrees.
 
 #pragma once
 

@@ -141,8 +141,11 @@ std::string emit_resolved_method(const ClassDesc& cls,
   if (m == nullptr)
     throw std::logic_error("emit_resolved_method: no method " + method);
   std::ostringstream os;
-  const std::string fn =
-      "_" + sanitize(cls.name()) + "_" + sanitize(method) + "_1_";
+  std::string fn = "_";
+  fn += sanitize(cls.name());
+  fn += '_';
+  fn += sanitize(method);
+  fn += "_1_";
   os << (m->return_width == 0
              ? "void"
              : (m->return_width == 1
@@ -208,9 +211,11 @@ std::string emit_resolved_module(const hls::Behavior& beh) {
         break;
       case hls::Instr::Kind::kCall: {
         const hls::VarDecl* obj = beh.find_var(i.object);
-        const std::string fn =
-            "_" + sanitize(obj && obj->cls ? obj->cls->name() : "obj") + "_" +
-            sanitize(i.method) + "_1_";
+        std::string fn = "_";
+        fn += sanitize(obj && obj->cls ? obj->cls->name() : "obj");
+        fn += '_';
+        fn += sanitize(i.method);
+        fn += "_1_";
         os << "    ";
         if (!i.result.empty()) os << i.result << " = ";
         os << fn << "( " << i.object;

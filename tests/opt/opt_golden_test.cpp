@@ -4,6 +4,9 @@
 // area/depth trajectory and fails here, while small legitimate drifts stay
 // inside the tolerance bands (±2% area, ±1 logic level).
 //
+// SatSweepCountersExact pins satsweep's decisions with no tolerance at all:
+// a merge that drifts moves a counter even when the area stays in band.
+//
 // The final block pins the headline result the R1/R2 experiments report:
 // at least three of the six components shrink by ≥10% gate area, and no
 // component's critical path gets longer.
@@ -12,13 +15,17 @@
 
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "expocu/flows.hpp"
 #include "gate/lower.hpp"
 #include "gate/timing.hpp"
+#include "lint/dataflow.hpp"
 #include "opt/opt.hpp"
 
 namespace osss::opt {
@@ -111,6 +118,99 @@ TEST(OptGolden, PerPassStatsMatchCommittedTrajectory) {
                       std::string(g.component) + "/final");
     expect_area_near(lib.area_of(out), stats.back().area_after,
                      std::string(g.component) + "/stats-vs-netlist");
+  }
+}
+
+struct SweepRound {
+  std::size_t changes, fact_merges, odc_merges, cells_after, sampled_merges;
+};
+
+struct SweepGolden {
+  const char* flow;
+  const char* component;
+  std::vector<SweepRound> rounds;  ///< satsweep's stats, one per round
+  double final_area;
+};
+
+// Harvested from the standard pipeline as the flow benchmark and osss-opt
+// run it (generic library, RTL dataflow facts, default satsweep options)
+// while satsweep still evaluated cones through per-call leaf maps.  The
+// compiled-cone evaluator that replaced them may change speed, never these.
+// sampled_merges, which that build did not count, comes from the first
+// build that did.
+const SweepGolden kSweepGolden[] = {
+    {"osss", "camera_sync",
+     {{0, 0, 0, 32, 0}, {0, 0, 0, 32, 0}},
+     89.5},
+    {"osss", "histogram",
+     {{4, 0, 1, 99, 2}, {0, 0, 0, 99, 0}},
+     462.0},
+    {"osss", "threshold_calc",
+     {{0, 0, 0, 904, 0}, {0, 0, 0, 727, 0}},
+     1954.5},
+    {"osss", "param_calc",
+     {{117, 3, 26, 1167, 8}, {6, 0, 4, 844, 0}, {0, 0, 0, 825, 0}},
+     1893.0},
+    {"osss", "i2c_master",
+     {{256, 0, 28, 451, 0}, {1, 0, 0, 450, 0}, {0, 0, 0, 450, 0}},
+     683.0},
+    {"osss", "reset_ctrl",
+     {{1, 0, 1, 25, 0}, {0, 0, 0, 24, 0}},
+     63.0},
+    {"vhdl", "camera_sync",
+     {{0, 0, 0, 32, 0}, {0, 0, 0, 32, 0}},
+     89.5},
+    {"vhdl", "histogram",
+     {{4, 0, 1, 99, 2}, {0, 0, 0, 99, 0}},
+     462.0},
+    {"vhdl", "threshold_calc",
+     {{0, 0, 0, 778, 0}, {0, 0, 0, 602, 0}},
+     1638.0},
+    {"vhdl", "param_calc",
+     {{13, 2, 4, 1218, 3}, {8, 0, 5, 886, 0}, {0, 0, 0, 863, 0}},
+     2018.0},
+    {"vhdl", "i2c_master",
+     {{63, 0, 0, 302, 9}, {0, 0, 0, 298, 0}, {0, 0, 0, 296, 0}},
+     546.0},
+    {"vhdl", "reset_ctrl",
+     {{1, 0, 1, 25, 0}, {0, 0, 0, 24, 0}},
+     63.0}
+};
+
+TEST(OptGolden, SatSweepCountersExact) {
+  const gate::Library lib = gate::Library::generic();
+  std::map<std::string, const expocu::FlowComponent*> comps;
+  const std::vector<expocu::FlowComponent> osss = expocu::build_osss_flow();
+  const std::vector<expocu::FlowComponent> vhdl = expocu::build_vhdl_flow();
+  for (const auto& c : osss) comps["osss/" + c.name] = &c;
+  for (const auto& c : vhdl) comps["vhdl/" + c.name] = &c;
+  ASSERT_EQ(comps.size(), std::size(kSweepGolden));
+
+  for (const SweepGolden& g : kSweepGolden) {
+    const std::string id = std::string(g.flow) + "/" + g.component;
+    const auto it = comps.find(id);
+    ASSERT_NE(it, comps.end()) << id;
+    PipelineOptions po;
+    po.lib = &lib;
+    po.self_check = 0;  // no effect on the decisions; the suites cover it
+    po.facts = std::make_shared<const std::unordered_map<std::string, bool>>(
+        lint::analyze_dataflow(it->second->module).const_reg_bits());
+    Pipeline p = Pipeline::standard(po);
+    p.run(gate::lower_to_gates(it->second->module));
+
+    std::vector<const PassStats*> sweeps;
+    for (const PassStats& s : p.stats())
+      if (s.pass == "satsweep") sweeps.push_back(&s);
+    ASSERT_EQ(sweeps.size(), g.rounds.size()) << id << ": pipeline rounds";
+    for (std::size_t r = 0; r < sweeps.size(); ++r) {
+      const std::string what = id + " round " + std::to_string(r + 1);
+      EXPECT_EQ(sweeps[r]->changes, g.rounds[r].changes) << what;
+      EXPECT_EQ(sweeps[r]->fact_merges, g.rounds[r].fact_merges) << what;
+      EXPECT_EQ(sweeps[r]->odc_merges, g.rounds[r].odc_merges) << what;
+      EXPECT_EQ(sweeps[r]->cells_after, g.rounds[r].cells_after) << what;
+      EXPECT_EQ(sweeps[r]->sampled_merges, g.rounds[r].sampled_merges) << what;
+    }
+    EXPECT_EQ(p.stats().back().area_after, g.final_area) << id;
   }
 }
 

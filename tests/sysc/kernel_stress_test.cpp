@@ -21,6 +21,14 @@ namespace {
 
 constexpr unsigned kThreads = 10;
 
+/// prefix followed by the decimal i.  Built by appending: GCC 12 at -O3
+/// reports a false -Wrestrict on "literal" + std::string.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 struct RunLog {
   std::vector<std::string> events;  ///< "time:counter=value" per change
   std::vector<int> mid_reset_probe;
@@ -40,11 +48,11 @@ RunLog run_scenario(std::uint64_t seed) {
 
   std::deque<Signal<int>> counters;  // deque: stable addresses
   for (unsigned i = 0; i < kThreads; ++i)
-    counters.emplace_back(ctx, "c" + std::to_string(i), 0);
+    counters.emplace_back(ctx, numbered("c", i), 0);
 
   for (unsigned i = 0; i < kThreads; ++i) {
     Signal<bool>& clk = (i % 2 == 0) ? clk_a.signal() : clk_b.signal();
-    const std::string name = "t" + std::to_string(i);
+    const std::string name = numbered("t", i);
     auto& proc = ctx.create_cthread(
         name, clk, [&ctx, &counters, i, name, seed]() -> Behavior {
           // Re-seeded per restart, so a reset replays the same schedule.
@@ -62,7 +70,7 @@ RunLog run_scenario(std::uint64_t seed) {
 
   for (unsigned i = 0; i < kThreads; ++i) {
     ctx.create_method(
-        "w" + std::to_string(i),
+        numbered("w", i),
         [&ctx, &counters, &log, i] {
           log.events.push_back(std::to_string(ctx.now()) + ":c" +
                                std::to_string(i) + "=" +

@@ -202,6 +202,7 @@ std::string render_json(const std::vector<Unit>& units) {
          << ",\"area_after\":" << s.area_after << ",\"changes\":" << s.changes
          << ",\"fact_merges\":" << s.fact_merges
          << ",\"odc_merges\":" << s.odc_merges
+         << ",\"sampled_merges\":" << s.sampled_merges
          << ",\"wall_ms\":" << s.wall_ms
          << ",\"verified\":" << (s.verified ? "true" : "false") << "}";
     }
