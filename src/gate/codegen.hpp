@@ -14,6 +14,11 @@
 //     every change without per-cell diff tracking; memory read ports are
 //     grouped and gathered through one-hot row masks when the row count is
 //     small against the lane count (word ops instead of per-lane probes);
+//   * a settle of more than kEvalPartCells cells is split at level
+//     boundaries into parts, separated by jit::kPartMarker lines, that the
+//     jit compiles concurrently; `osss_gate_eval` is then a dispatcher that
+//     scans the dirty flags and calls every part from the first dirty
+//     level on;
 //   * the DFF and memory-write-port commit is emitted *inside* the
 //     generated `osss_gate_step` entry point — sample offsets, depths,
 //     widths and dirty marks baked in, no C++ commit loop on the hot path;
@@ -39,6 +44,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -59,6 +65,12 @@ using CodegenOptions = jit::CompileOptions;
 /// stimulus lanes — exposed for tests and for inspecting what the backend
 /// actually compiles.
 std::string emit_netlist_cpp(const Netlist& nl, unsigned lanes);
+
+/// Settle cells per part of a split `osss_gate_eval`, and the most parts
+/// one netlist is split into.  Fixed, so the emitted source (and with it
+/// the jit cache key) never depends on the host.
+inline constexpr std::size_t kEvalPartCells = 384;
+inline constexpr std::size_t kEvalMaxParts = 8;
 
 /// Executes a levelized netlist through generated native code (dlopen) or
 /// the interpreted LW-word level sweep.  Owned by gate::Simulator behind

@@ -10,7 +10,19 @@
 // per-level dirty flags once and then runs one straight-line sweep from
 // the first dirty level to the end — every downstream value is recomputed
 // exactly (change propagation is implicit in program order), and a
-// quiescent settle still costs only the flag scan.  Cells within one
+// quiescent settle still costs only the flag scan.
+//
+// One compiler process spends most of a cold start on that one big
+// function, so a settle of more than kEvalPartCells cells is split at
+// level boundaries into parts of about equal size, each a hidden
+// `osss_gate_eval_p<k>(V, M, first)` holding its levels' blocks.
+// `osss_gate_eval` is then a dispatcher: the flag scan, then a call to
+// every part whose last level is at or after the first dirty one.  A
+// jit::kPartMarker line separates the parts (prelude with the part
+// declarations, then the entry points, then one settle part each), and
+// jit::compile builds them as concurrent translation units.  The marker
+// is a comment, so the whole string still compiles as one unit.  The
+// plan depends on the netlist alone, never on the host.  Cells within one
 // level are topologically independent, so each level's logic cells fuse
 // into a single `for (w += VW)` loop nest: one loop bound check per VW
 // lane words serves the whole level instead of one word loop per cell,
@@ -324,6 +336,83 @@ struct Emitter {
     os << "    }\n";
   }
 
+  /// One level's settle block, `if (first <= lev) { ... }`.
+  void emit_level(std::uint32_t lev) {
+    os << "  if (first <= " << lev << ") {\n";
+    // Group this level's kMemQ cells by read port (shared mem + address
+    // nets) and emit each group once, where its first tap appears.
+    std::map<std::pair<std::uint32_t, std::vector<NetId>>, std::vector<NetId>>
+        ports;
+    std::vector<NetId> logic;
+    for (const NetId id : by_level[lev]) {
+      const Cell& c = nl.cells()[id];
+      if (c.kind == CellKind::kMemQ)
+        ports[{c.param, c.ins}].push_back(id);
+      else
+        logic.push_back(id);
+    }
+    for (const NetId id : by_level[lev]) {
+      const Cell& c = nl.cells()[id];
+      if (c.kind != CellKind::kMemQ) continue;
+      const auto it = ports.find({c.param, c.ins});
+      if (it != ports.end()) {
+        emit_memq_group(it->second);
+        ports.erase(it);
+      }
+    }
+    // Same-level cells never read each other, so the whole level fuses
+    // into one chunked loop: one bound check per VW lane words.
+    if (!logic.empty()) {
+      os << "    for (int w = 0; w < L; w += VW) {\n";
+      for (const NetId id : logic)
+        os << "      vst(V + " << num(std::uint64_t{id} * lw) << " + w, "
+           << vexpr(nl.cells()[id]) << ");\n";
+      os << "    }\n";
+    }
+    os << "  }\n";
+  }
+
+  /// Consecutive level ranges [first, last] of the parts the settle is
+  /// split into: ceil(cells / kEvalPartCells) parts, at most
+  /// kEvalMaxParts, with part k ending at the level boundary nearest to
+  /// k + 1 shares of the cells.  One range means no split.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan_parts() const {
+    std::size_t total = 0;
+    for (const auto& cells : by_level) total += cells.size();
+    const std::size_t n =
+        std::min(kEvalMaxParts, (total + kEvalPartCells - 1) / kEvalPartCells);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> parts;
+    std::size_t before = 0;  // cells of the levels before `lev`
+    for (std::uint32_t lev = 0; lev < num_levels; ++lev) {
+      const std::size_t size = by_level[lev].size();
+      // A level whose midpoint lies past the current part's share opens
+      // the next part.
+      if (parts.empty() || (parts.size() < n && (2 * before + size) * n >
+                                                    2 * parts.size() * total))
+        parts.emplace_back(lev, lev);
+      parts.back().second = lev;
+      before += size;
+    }
+    return parts;
+  }
+
+  /// The dirty-flag scan: `first` becomes the first dirty level, and a
+  /// clean schedule returns before any logic runs.
+  void emit_first_dirty() {
+    os << "  int first = " << num_levels << ";\n";
+    os << "  for (int i = 0; i < " << num_levels << "; ++i)\n";
+    os << "    if (D[i]) { first = i; break; }\n";
+    os << "  if (first >= " << num_levels << ") return;\n";
+    os << "  for (int i = first; i < " << num_levels << "; ++i) D[i] = 0;\n";
+  }
+
+  void emit_constants() {
+    os << "  const vw vc0 = vbc(0x0ull); (void)vc0;\n";
+    os << "  const vw vc1 = vbc(TM); (void)vc1;\n";
+  }
+
+  /// `osss_gate_eval` for an unsplit netlist: one in-order sweep from the
+  /// first dirty level settles everything downstream of any marked change.
   void emit_eval() {
     os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
           "unsigned char* D) {\n";
@@ -332,52 +421,36 @@ struct Emitter {
       os << "}\n\n";
       return;
     }
-    // One in-order sweep from the first dirty level settles everything
-    // downstream of any marked change; a clean schedule costs only the
-    // flag scan.
-    os << "  int first = " << num_levels << ";\n";
-    os << "  for (int i = 0; i < " << num_levels << "; ++i)\n";
-    os << "    if (D[i]) { first = i; break; }\n";
-    os << "  if (first >= " << num_levels << ") return;\n";
-    os << "  for (int i = first; i < " << num_levels << "; ++i) D[i] = 0;\n";
-    os << "  const vw vc0 = vbc(0x0ull); (void)vc0;\n";
-    os << "  const vw vc1 = vbc(TM); (void)vc1;\n";
-    for (std::uint32_t lev = 0; lev < num_levels; ++lev) {
-      os << "  if (first <= " << lev << ") {\n";
-      // Group this level's kMemQ cells by read port (shared mem + address
-      // nets) and emit each group once, where its first tap appears.
-      std::map<std::pair<std::uint32_t, std::vector<NetId>>,
-               std::vector<NetId>>
-          ports;
-      std::vector<NetId> logic;
-      for (const NetId id : by_level[lev]) {
-        const Cell& c = nl.cells()[id];
-        if (c.kind == CellKind::kMemQ)
-          ports[{c.param, c.ins}].push_back(id);
-        else
-          logic.push_back(id);
-      }
-      for (const NetId id : by_level[lev]) {
-        const Cell& c = nl.cells()[id];
-        if (c.kind != CellKind::kMemQ) continue;
-        const auto it = ports.find({c.param, c.ins});
-        if (it != ports.end()) {
-          emit_memq_group(it->second);
-          ports.erase(it);
-        }
-      }
-      // Same-level cells never read each other, so the whole level fuses
-      // into one chunked loop: one bound check per VW lane words.
-      if (!logic.empty()) {
-        os << "    for (int w = 0; w < L; w += VW) {\n";
-        for (const NetId id : logic)
-          os << "      vst(V + " << num(std::uint64_t{id} * lw) << " + w, "
-             << vexpr(nl.cells()[id]) << ");\n";
-        os << "    }\n";
-      }
-      os << "  }\n";
-    }
+    emit_first_dirty();
+    emit_constants();
+    for (std::uint32_t lev = 0; lev < num_levels; ++lev) emit_level(lev);
     os << "}\n\n";
+  }
+
+  /// `osss_gate_eval` over split parts: the flag scan, then every part
+  /// whose last level is at or after the first dirty one, in level order.
+  void emit_dispatch(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& parts) {
+    os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
+          "unsigned char* D) {\n";
+    emit_first_dirty();
+    for (std::size_t k = 0; k < parts.size(); ++k)
+      os << "  if (first <= " << parts[k].second << ") osss_gate_eval_p" << k
+         << "(V, M, first);\n";
+    os << "}\n\n";
+  }
+
+  /// Part k of a split settle: its levels' blocks, as a translation unit
+  /// of its own after the part marker.
+  void emit_part(std::size_t k, std::pair<std::uint32_t, std::uint32_t> lv) {
+    os << jit::kPartMarker << "\n";
+    os << "void osss_gate_eval_p" << k
+       << "(u64* V, u64* const* M, int first) {\n";
+    os << "  (void)V; (void)M;\n";
+    emit_constants();
+    for (std::uint32_t lev = lv.first; lev <= lv.second; ++lev)
+      emit_level(lev);
+    os << "}\n";
   }
 
   /// Generated `osss_gate_step`: DFF/write-port sample + commit with
@@ -589,6 +662,16 @@ struct Emitter {
     os << jit::flat_ops_prelude();
     os << jit::step_prelude();
     os << "}  // namespace\n\n";
+    const auto parts = plan_parts();
+    const bool split = parts.size() > 1;
+    if (split) {
+      // Declared in the shared prelude so every part's translation unit
+      // sees them; hidden, so only osss_gate_eval is exported.
+      for (std::size_t k = 0; k < parts.size(); ++k)
+        os << "__attribute__((visibility(\"hidden\"))) void osss_gate_eval_p"
+           << k << "(u64* V, u64* const* M, int first);\n";
+      os << jit::kPartMarker << "\n";
+    }
     std::vector<std::uint64_t> dff_at, wp_at;
     const std::uint64_t scratch = compute_scratch(dff_at, wp_at);
     os << "extern \"C\" unsigned osss_gate_abi() { return 1u; }\n";
@@ -598,8 +681,13 @@ struct Emitter {
        << nl.cells().size() << "ull; }\n";
     os << "extern \"C\" unsigned long long osss_gate_scratch() { return "
        << scratch << "ull; }\n\n";
-    emit_eval();
+    if (split)
+      emit_dispatch(parts);
+    else
+      emit_eval();
     emit_step(dff_at, wp_at);
+    if (split)
+      for (std::size_t k = 0; k < parts.size(); ++k) emit_part(k, parts[k]);
     return os.str();
   }
 };

@@ -9,16 +9,21 @@
 // capped by mtime.  Within a process, concurrent compiles of *different*
 // sources run in parallel: the cache mutex guards only map/in-flight
 // bookkeeping, and each key has its own in-flight entry that followers
-// wait on.
+// wait on.  A source split into parts (kPartMarker) compiles as one
+// concurrent compiler process per part plus a link; the compilers are
+// child processes this file starts and reaps, never pool tasks.
 
 #include "jit/jit.hpp"
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <spawn.h>
 #include <sys/file.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -26,8 +31,11 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+extern char** environ;
 
 namespace fs = std::filesystem;
 
@@ -222,6 +230,46 @@ std::uint64_t evict_lru(const fs::path& dir, const fs::path& keep) {
   return evicted;
 }
 
+/// `source` cut at its kPartMarker lines: [0] is the prelude every part
+/// shares, [1..] the parts.  An unmarked source is one piece.
+std::vector<std::string_view> split_parts(std::string_view source) {
+  const std::string mark = std::string("\n") + kPartMarker + "\n";
+  std::vector<std::string_view> pieces;
+  std::size_t from = 0;
+  for (std::size_t at; (at = source.find(mark, from)) != source.npos;
+       from = at + mark.size())
+    pieces.push_back(source.substr(from, at + 1 - from));
+  pieces.push_back(source.substr(from));
+  return pieces;
+}
+
+/// Run every command under /bin/sh at once, then reap each child, also
+/// when one fails or cannot start, so no process outlives the call.
+/// True when every command exited 0.
+bool run_all(const std::vector<std::string>& cmds) {
+  std::vector<pid_t> kids;
+  bool ok = true;
+  for (const std::string& cmd : cmds) {
+    const char* argv[] = {"sh", "-c", cmd.c_str(), nullptr};
+    pid_t pid = 0;
+    if (::posix_spawn(&pid, "/bin/sh", nullptr, nullptr,
+                      const_cast<char* const*>(argv), environ) != 0) {
+      ok = false;
+      continue;
+    }
+    kids.push_back(pid);
+  }
+  for (const pid_t pid : kids) {
+    int st = 0;
+    pid_t got = 0;
+    do {
+      got = ::waitpid(pid, &st, 0);
+    } while (got == -1 && errno == EINTR);
+    ok = ok && got == pid && WIFEXITED(st) && WEXITSTATUS(st) == 0;
+  }
+  return ok;
+}
+
 /// Outcome of the slow path (disk probe + compile), folded into the
 /// process-wide counters under the cache mutex by the leader.
 struct SlowResult {
@@ -279,29 +327,48 @@ SlowResult compile_slow(const std::string& source, const CompileOptions& opt,
   }
   std::shared_ptr<Object> obj = ObjectAccess::make(key);
   ObjectAccess::work_dir(*obj) = buf.data();
-  const std::string cpp = ObjectAccess::work_dir(*obj) + "/gen.cpp";
-  const std::string so = ObjectAccess::work_dir(*obj) + "/gen.so";
-  const std::string cc_log = ObjectAccess::work_dir(*obj) + "/cc.log";
-  {
-    std::ofstream f(cpp);
-    f << source;
+  const std::string& dir = ObjectAccess::work_dir(*obj);
+  const std::string so = dir + "/gen.so";
+  std::string flags = default_flags();
+  if (!opt.extra_flags.empty()) flags += " " + opt.extra_flags;
+  const std::string head = "'" + cc + "' " + flags + " ";
+  // An unmarked source compiles and links in one command.  The parts of
+  // a marked one, each after the prelude, compile at once with -c, each
+  // into its own object and log, and then link.
+  const std::vector<std::string_view> pieces = split_parts(source);
+  const bool parts = pieces.size() > 1;
+  const std::size_t units = parts ? pieces.size() - 1 : 1;
+  std::vector<std::string> cmds, logs;
+  std::string objects;
+  for (std::size_t k = 0; k < units; ++k) {
+    const std::string stem = dir + (parts ? "/part" + std::to_string(k)
+                                          : std::string("/gen"));
+    std::ofstream f(stem + ".cpp");
+    f << pieces[0];
+    if (parts) f << pieces[k + 1];
     if (!f) {
       log = "failed to write generated source";
       return done(std::move(r));  // obj dtor removes the dir
     }
+    const std::string out = parts ? stem + ".o" : so;
+    logs.push_back(parts ? stem + ".log" : dir + "/cc.log");
+    cmds.push_back(head + (parts ? "-c '" : "'") + stem + ".cpp' -o '" + out +
+                   "' >'" + logs.back() + "' 2>&1");
+    objects += "'" + out + "' ";
   }
-  std::string flags = default_flags();
-  if (!opt.extra_flags.empty()) flags += " " + opt.extra_flags;
-  const std::string cmd = "'" + cc + "' " + flags + " '" + cpp + "' -o '" +
-                          so + "' >'" + cc_log + "' 2>&1";
-  const int rc = std::system(cmd.c_str());
-  {
-    std::ifstream f(cc_log);
+  bool ok = run_all(cmds);
+  if (ok && parts) {
+    logs.push_back(dir + "/link.log");
+    ok = run_all({head + objects + "-o '" + so + "' >'" + logs.back() +
+                  "' 2>&1"});
+  }
+  for (const std::string& path : logs) {
+    std::ifstream f(path);
     std::stringstream ss;
     ss << f.rdbuf();
-    ObjectAccess::log(*obj) = ss.str();
+    ObjectAccess::log(*obj) += ss.str();
   }
-  if (rc != 0) {
+  if (!ok) {
     log = ObjectAccess::log(*obj) +
           "\n[compile failed; using interpreted dispatch]";
     return done(std::move(r));

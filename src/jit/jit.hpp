@@ -5,7 +5,14 @@
 // the result.  This library owns everything that is identical between them:
 // temp-dir management, compiler resolution ($OSSS_CC), the compile command,
 // log capture, dlopen + symbol lookup, cleanup — and a two-level object
-// cache keyed by a content hash of the emitted source:
+// cache keyed by a content hash of the emitted source.
+//
+// The compile command is `cc <flags> gen.cpp -o gen.so` for a plain source.
+// A source split by kPartMarker lines becomes one translation unit per part
+// (the shared prelude plus that part); every part compiles at once as its
+// own `cc <flags> -c` child process, and one `cc <flags>` links the objects
+// into gen.so.  Either way compile() reaps every child before it returns.
+// The cache layers:
 //
 //   * in-memory: engines whose generated code is byte-identical (the same
 //     netlist simulated twice, the six ExpoCU components shared across
@@ -40,13 +47,19 @@ namespace osss::jit {
 
 class Object;
 
+/// A source line equal to this marker splits it into parts that compile
+/// as separate translation units (see compile()).  The text before the
+/// first marker is the prelude every part shares.
+inline constexpr char kPartMarker[] = "//@osss-jit-part";
+
 /// Knobs for the runtime compile.  Engines expose this as their
 /// `CodegenOptions`; defaults give the production behavior.
 struct CompileOptions {
   /// Compiler binary; empty uses $OSSS_CC, falling back to "c++".
   std::string compiler;
   /// Extra flags appended after the defaults ("-std=c++17 -O2 -fPIC
-  /// -shared" plus cpu-probed -mavx2 / -mavx512f).
+  /// -shared" plus cpu-probed -mavx2 / -mavx512f), on every compile and
+  /// link command.
   std::string extra_flags;
   /// Skip the compile and force the engine's interpreted fallback
   /// (also set by the OSSS_NO_JIT environment variable).
@@ -118,6 +131,10 @@ std::uint64_t source_hash(const std::string& source,
 
 /// Compile `source` in a private mkdtemp directory ($TMPDIR or /tmp,
 /// prefixed with `tag`), dlopen the result and return a shared handle.
+/// A source with kPartMarker lines compiles its parts concurrently and
+/// links them (see the file comment); the log is then the per-part logs
+/// concatenated, followed by the link log.  The cache key covers the
+/// whole string either way.
 /// Identical (source, compiler, flags) reuse a live cached Object; when
 /// $OSSS_JIT_CACHE_DIR is set, a published artifact from any process is
 /// dlopen'd instead of compiling and fresh compiles are published back.

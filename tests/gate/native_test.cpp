@@ -508,6 +508,164 @@ TEST(GateNativeEmit, LaneValidation) {
   EXPECT_EQ(ok.lanes(), 64u);
 }
 
+// --- settle split into parts ------------------------------------------------
+
+/// The ExpoCU component `name` from the OSSS flow, lowered to gates.
+Netlist osss_component(const std::string& name) {
+  for (const expocu::FlowComponent& c : expocu::build_osss_flow())
+    if (c.name == name) return lower_to_gates(c.module);
+  ADD_FAILURE() << "no OSSS flow component " << name;
+  return Netlist(name);
+}
+
+/// The source split at its part marker lines (the prelude first).
+std::vector<std::string> split_at_markers(const std::string& src) {
+  const std::string mark = std::string("\n") + jit::kPartMarker + "\n";
+  std::vector<std::string> pieces;
+  std::size_t from = 0;
+  for (std::size_t at; (at = src.find(mark, from)) != std::string::npos;
+       from = at + mark.size())
+    pieces.push_back(src.substr(from, at + 1 - from));
+  pieces.push_back(src.substr(from));
+  return pieces;
+}
+
+/// param_calc (1.3 k settle cells) splits into several parts that cover
+/// every level once, in order, each within the cell budget; the eval in
+/// front of them only dispatches.
+TEST(GateNativeSplit, LargeNetlistSplitsWithinTheCellBudget) {
+  const Netlist nl = osss_component("param_calc");
+  const std::vector<std::uint32_t> level = nl.topo_levels();
+  std::vector<std::size_t> cells_at;
+  for (const std::uint32_t l : level) {
+    if (l == kNoLevel) continue;
+    if (l >= cells_at.size()) cells_at.resize(l + 1);
+    ++cells_at[l];
+  }
+  const std::vector<std::string> pieces =
+      split_at_markers(emit_netlist_cpp(nl, 64));
+  // Prelude, then the part holding the entry points, then the settle parts.
+  ASSERT_GE(pieces.size(), 4u);
+  EXPECT_LE(pieces.size() - 2, kEvalMaxParts);
+  EXPECT_EQ(pieces[0].find("if (first <="), std::string::npos);
+  EXPECT_NE(pieces[1].find("osss_gate_step"), std::string::npos);
+  EXPECT_EQ(pieces[1].find("vst("), std::string::npos) << "eval must dispatch";
+  std::size_t next_level = 0;
+  for (std::size_t k = 2; k < pieces.size(); ++k) {
+    SCOPED_TRACE("part " + std::to_string(k - 2));
+    EXPECT_NE(pieces[k].find("void osss_gate_eval_p" + std::to_string(k - 2) +
+                             "("),
+              std::string::npos);
+    std::size_t cells = 0;
+    const std::string guard = "  if (first <= ";
+    for (std::size_t at = pieces[k].find(guard); at != std::string::npos;
+         at = pieces[k].find(guard, at + 1)) {
+      const std::size_t lev = std::stoul(pieces[k].substr(at + guard.size()));
+      EXPECT_EQ(lev, next_level) << "levels out of order";
+      next_level = lev + 1;
+      ASSERT_LT(lev, cells_at.size());
+      cells += cells_at[lev];
+    }
+    EXPECT_GT(cells, 0u);
+    EXPECT_LE(cells, kEvalPartCells);
+  }
+  EXPECT_EQ(next_level, cells_at.size()) << "every level in some part";
+}
+
+/// A netlist within the budget keeps the unsplit layout: no marker and
+/// the settle inline in osss_gate_eval.
+TEST(GateNativeSplit, SmallNetlistEmitsNoMarker) {
+  const std::string src = emit_netlist_cpp(osss_component("camera_sync"), 64);
+  EXPECT_EQ(src.find(jit::kPartMarker), std::string::npos);
+  EXPECT_EQ(src.find("osss_gate_eval_p"), std::string::npos);
+  EXPECT_NE(src.find("if (first <= 0)"), std::string::npos);
+}
+
+/// The split depends on the netlist alone: two lowerings emit the same
+/// bytes, so the jit cache key is stable.
+TEST(GateNativeSplit, EmissionIsDeterministic) {
+  for (const unsigned lanes : {1u, 64u, 256u}) {
+    SCOPED_TRACE(lanes);
+    const std::string a = emit_netlist_cpp(osss_component("param_calc"), lanes);
+    const std::string b = emit_netlist_cpp(osss_component("param_calc"), lanes);
+    EXPECT_NE(a.find(jit::kPartMarker), std::string::npos);
+    EXPECT_EQ(a, b);
+  }
+}
+
+/// The markers are comments, so the whole string is still one valid
+/// translation unit (what keep_source writes), and the split functions
+/// stay hidden both ways it is built.
+TEST(GateNativeSplit, MarkedSourceCompilesAsOneUnit) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  const std::string src = emit_netlist_cpp(osss_component("param_calc"), 64);
+  std::string whole = src;
+  for (std::size_t at = 0;
+       (at = whole.find(jit::kPartMarker, at)) != std::string::npos;)
+    whole.replace(at, 3, "// ");  // still a comment, no longer a marker
+  ASSERT_EQ(whole.find(jit::kPartMarker), std::string::npos);
+  for (const std::string& text : {whole, src}) {
+    std::string log;
+    const std::shared_ptr<jit::Object> obj =
+        jit::compile(text, {}, "osss-gate-split-test", log);
+    ASSERT_NE(obj, nullptr) << log;
+    EXPECT_NE(obj->sym("osss_gate_eval"), nullptr);
+    EXPECT_NE(obj->sym("osss_gate_step"), nullptr);
+    EXPECT_EQ(obj->sym("osss_gate_eval_p0"), nullptr) << "parts are hidden";
+  }
+}
+
+/// Inputs that join deep in a split netlist dirty only levels inside a
+/// later part: the dispatcher must start in that part and skip nothing
+/// after it.
+TEST(GateNativeSplit, SettleStartingInALaterPartMatchesEventEngine) {
+  Builder b("deep");
+  const Wire a = b.input("a", 16);
+  const Wire mid = b.input("mid", 16);
+  const Wire late = b.input("late", 16);
+  Wire x = a;
+  for (int i = 0; i < 24; ++i) {
+    x = b.add(x, a);
+    if (i == 12) x = b.xor_(x, mid);
+  }
+  b.output("o", b.xor_(x, late));
+  const Netlist nl = lower_to_gates(b.take());
+  ASSERT_GE(split_at_markers(emit_netlist_cpp(nl, 64)).size(), 5u);
+
+  Simulator ev(nl, SimMode::kEvent);
+  Simulator nat(nl, SimMode::kNative, 64);
+  if (!jit_disabled()) {
+    ASSERT_TRUE(nat.native().native()) << nat.native().compile_log();
+  }
+  std::mt19937_64 rng(case_seed("split-late", 0));
+  for (unsigned c = 0; c < 30; ++c) {
+    const char* bus = c % 3 == 0 ? "a" : c % 3 == 1 ? "mid" : "late";
+    const std::uint64_t v = rng() & 0xffff;
+    for (Simulator* s : {&ev, &nat}) {
+      s->set_input(bus, v);
+      s->step();
+    }
+    ASSERT_EQ(ev.output("o").to_u64(), nat.output("o").to_u64())
+        << "cycle " << c << " drove " << bus;
+  }
+}
+
+/// A split engine settles exactly like the event oracle at scalar, one
+/// and four lane words.
+TEST(GateNativeSplit, SplitEngineMatchesEventEngine) {
+  const Netlist nl = osss_component("param_calc");
+  const std::uint64_t seed = case_seed("split", 0);
+  for (const unsigned lanes : {1u, 64u, 256u}) {
+    SCOPED_TRACE(lanes);
+    Simulator probe(nl, SimMode::kNative, lanes);
+    if (!jit_disabled()) {
+      ASSERT_TRUE(probe.native().native()) << probe.native().compile_log();
+    }
+    expect_three_way_match(nl, seed, 100, lanes, {});
+  }
+  expect_lane_match(nl, seed, 100, {});
+}
+
 // --- run_batch over wide native lanes --------------------------------------
 
 /// The same stimulus through scalar event-engine blocks and one 128-lane

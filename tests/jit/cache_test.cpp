@@ -4,7 +4,8 @@
 // wrong: a truncated or stale artifact, an unwritable directory, or an
 // unset variable all have to land on the same behavior as the in-memory
 // path — compile fresh, never hand a bad object to an engine.  The suite
-// drives jit::compile directly (tiny one-symbol sources), checks the
+// drives jit::compile directly (tiny one-symbol sources, and sources
+// split into parts that compile as separate units), checks the
 // cross-process flock contract with fork'd children, pins the LRU
 // eviction order, and closes with an end-to-end gate-engine case where a
 // published artifact carries the wrong lane count and must be rejected by
@@ -22,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -312,6 +314,102 @@ TEST(JitDiskCache, LruEvictsOldestArtifactFirst) {
   EXPECT_FALSE(fs::exists(so_a)) << "LRU must drop the oldest artifact";
   EXPECT_TRUE(fs::exists(so_b));
   EXPECT_TRUE(fs::exists(so_c)) << "never evict the freshly published key";
+}
+
+// --- multi-part sources -------------------------------------------------
+
+/// A source in the gate emitter's split layout: the prelude declares two
+/// hidden functions, the first part exports `osss_mp_<id>` with body
+/// `entry_body`, and the other two define the hidden ones (40 and 2).
+std::string multipart_source(const std::string& id,
+                             const std::string& entry_body) {
+  const std::string mark = std::string(kPartMarker) + "\n";
+  return "__attribute__((visibility(\"hidden\"))) int osss_mp_a();\n"
+         "__attribute__((visibility(\"hidden\"))) int osss_mp_b();\n" +
+         mark + "extern \"C\" int osss_mp_" + id + "() { " + entry_body +
+         " }\n" + mark + "int osss_mp_a() { return 40; }\n" + mark +
+         "int osss_mp_b() { return 2; }\n";
+}
+
+/// No child of this process is left, running or unreaped.
+bool no_children() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+/// One part that does not compile fails the whole object: nullptr, that
+/// part's diagnostic in the log, nothing published, the temp dir gone and
+/// every compiler reaped, also those of the parts after the broken one.
+TEST(JitDiskCache, MultiPartCompileErrorFailsCleanly) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir, tmp;
+  ASSERT_FALSE(dir.path.empty());
+  ASSERT_FALSE(tmp.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
+  EnvVar tmpdir("TMPDIR", tmp.path.c_str());
+  const std::string src =
+      multipart_source("broken", "return osss_mp_undeclared_in_part0;");
+  const CacheStats before = cache_stats();
+  std::string log;
+  EXPECT_EQ(compile(src, CompileOptions{}, "osss-jt", log), nullptr);
+  EXPECT_NE(log.find("part0.cpp"), std::string::npos) << log;
+  EXPECT_NE(log.find("osss_mp_undeclared_in_part0"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("compile failed"), std::string::npos) << log;
+  EXPECT_EQ(cache_stats().compiles, before.compiles);
+  EXPECT_FALSE(fs::exists(artifact_path(dir.path, src, {}, "osss-jt")));
+  EXPECT_TRUE(fs::is_empty(tmp.path)) << "temp dir left in " << tmp.path;
+  EXPECT_TRUE(no_children()) << "a compiler outlived compile()";
+}
+
+/// Parts compile separately but publish one artifact, which a second
+/// process loads without running the compiler.
+TEST(JitDiskCache, MultiPartSourcePublishesOneArtifact) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
+  const std::string src =
+      multipart_source("publish", "return osss_mp_a() + osss_mp_b();");
+  using Fn = int (*)();
+  const CacheStats before = cache_stats();
+  std::string log;
+  std::shared_ptr<Object> obj = compile(src, CompileOptions{}, "osss-jt", log);
+  ASSERT_NE(obj, nullptr) << log;
+  const Fn fn = reinterpret_cast<Fn>(obj->sym("osss_mp_publish"));
+  ASSERT_NE(fn, nullptr);
+  EXPECT_EQ(fn(), 42);
+  EXPECT_EQ(cache_stats().compiles, before.compiles + 1);
+  EXPECT_TRUE(no_children());
+  std::vector<fs::path> published;
+  for (const auto& e : fs::directory_iterator(dir.path))
+    if (e.path().extension() == ".so") published.push_back(e.path());
+  ASSERT_EQ(published.size(), 1u);
+  EXPECT_EQ(published[0], artifact_path(dir.path, src, {}, "osss-jt"));
+
+  // The in-memory entry dies with the last reference, so the child has
+  // to find the artifact on disk.
+  obj.reset();
+  const pid_t pid = ::fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    const CacheStats base = cache_stats();
+    std::string child_log;
+    const std::shared_ptr<Object> warm =
+        compile(src, CompileOptions{}, "osss-jt", child_log);
+    if (warm == nullptr) ::_exit(1);
+    const Fn warm_fn = reinterpret_cast<Fn>(warm->sym("osss_mp_publish"));
+    if (warm_fn == nullptr || warm_fn() != 42) ::_exit(2);
+    const CacheStats now = cache_stats();
+    if (now.compiles != base.compiles) ::_exit(3);
+    if (now.disk_hits != base.disk_hits + 1) ::_exit(4);
+    ::_exit(0);
+  }
+  int st = 0;
+  ASSERT_EQ(::waitpid(pid, &st, 0), pid);
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 0)
+      << "child: 1 no object, 2 wrong code, 3 compiled, 4 no disk hit";
 }
 
 // --- end-to-end: a stale artifact with the wrong ABI never reaches an

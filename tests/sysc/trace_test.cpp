@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace osss::sysc {
 namespace {
@@ -19,9 +22,19 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// Each case writes its own file, named after the test and the process:
+/// ctest runs every case as its own process, and under -j a shared path
+/// lets one case's TearDown delete or overwrite another case's trace.
+std::string case_vcd_path() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "osss_trace_test_" + info->name() + "_" +
+         std::to_string(::getpid()) + ".vcd";
+}
+
 class TraceTest : public ::testing::Test {
 protected:
-  std::string path_ = ::testing::TempDir() + "osss_trace_test.vcd";
+  std::string path_ = case_vcd_path();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
